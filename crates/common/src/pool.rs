@@ -222,9 +222,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that set the process-wide thread count, so
+    /// `set_threads_clamps` reads back its own setting.
+    fn threads_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn batch_matches_serial_map() {
+        let _lock = threads_lock();
         let before = threads();
         for t in [1, 2, 8] {
             set_threads(t);
@@ -237,6 +246,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_batches() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(4);
         assert_eq!(run_batch(0, |i| i).unwrap(), Vec::<usize>::new());
@@ -246,6 +256,7 @@ mod tests {
 
     #[test]
     fn worker_panic_becomes_execution_error() {
+        let _lock = threads_lock();
         let before = threads();
         for t in [1, 2, 8] {
             set_threads(t);
@@ -268,6 +279,7 @@ mod tests {
 
     #[test]
     fn lowest_indexed_panic_wins_for_every_thread_count() {
+        let _lock = threads_lock();
         let before = threads();
         for t in [1, 4] {
             set_threads(t);
@@ -288,6 +300,7 @@ mod tests {
 
     #[test]
     fn chunk_panic_surfaces_from_run_chunks() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(4);
         let items: Vec<u32> = (0..100).collect();
@@ -305,6 +318,7 @@ mod tests {
 
     #[test]
     fn set_threads_clamps() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(0);
         assert_eq!(threads(), 1);
@@ -315,6 +329,7 @@ mod tests {
 
     #[test]
     fn chunks_cover_slice_in_order() {
+        let _lock = threads_lock();
         let before = threads();
         let items: Vec<u64> = (0..1000).collect();
         for t in [1, 2, 8] {
@@ -337,6 +352,7 @@ mod tests {
 
     #[test]
     fn chunks_on_empty_and_short_inputs() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(4);
         assert_eq!(
@@ -352,6 +368,7 @@ mod tests {
 
     #[test]
     fn nested_dispatch_runs_inline_and_correctly() {
+        let _lock = threads_lock();
         let before = threads();
         for t in [1, 4] {
             set_threads(t);
@@ -381,6 +398,7 @@ mod tests {
 
     #[test]
     fn nested_panic_still_classified() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(4);
         let err = run_batch(3, |i| {
@@ -407,6 +425,7 @@ mod tests {
 
     #[test]
     fn borrowed_data_is_usable() {
+        let _lock = threads_lock();
         let before = threads();
         set_threads(3);
         let data: Vec<String> = (0..20).map(|i| format!("item-{i}")).collect();

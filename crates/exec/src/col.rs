@@ -4,8 +4,9 @@
 //! ([`enabled`], `MISO_COL`), a vectorizability check over plan
 //! expressions, a morsel-at-a-time expression evaluator ([`eval_vec`])
 //! that produces whole [`Column`] vectors instead of per-row [`Value`]s,
-//! and the fused scan+project line parser that turns raw JSON log lines
-//! straight into typed column vectors. The operator integration (columnar
+//! and the recognizer for the SerDe projections that read a log's parsed
+//! column image ([`crate::image`]) instead of JSON object rows. The
+//! operator integration (columnar
 //! filter/project/aggregate bodies) lives in [`crate::engine`], which owns
 //! morsel dispatch, the guard seam and the accumulator machinery.
 //!
@@ -21,7 +22,6 @@
 
 use crate::eval::{cast, eval_binary, eval_unary, logical_combine};
 use miso_common::{MisoError, Result};
-use miso_data::json::{parse_flat_line, parse_json, FlatVal};
 use miso_data::{Cell, ColBatch, ColBuilder, Column, DataType, Value};
 use miso_plan::{BinOp, Expr, UnaryOp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -335,8 +335,8 @@ pub(crate) struct FusedField<'a> {
 /// Recognizes a projection whose every output is
 /// `CAST(input->'key' AS ty)` or bare `input->'key'` over the scanned
 /// line — the SerDe shape every log query in the workload starts with.
-/// Such a projection can be fused into the scan and parsed straight into
-/// typed column vectors, skipping the intermediate JSON object rows.
+/// Such a projection can be fused into the scan and read straight from the
+/// log's parsed column image, skipping the intermediate JSON object rows.
 pub(crate) fn fused_fields<'a>(
     exprs: impl IntoIterator<Item = &'a Expr>,
 ) -> Option<Vec<FusedField<'a>>> {
@@ -355,90 +355,6 @@ pub(crate) fn fused_fields<'a>(
             }
         })
         .collect()
-}
-
-/// Pushes `field cast to ty` for one parsed token. Fast arms avoid
-/// `Value` round-trips for the common shapes; everything else goes
-/// through the shared scalar [`cast`] for exact semantics.
-fn push_cast(b: &mut ColBuilder, tok: FlatVal<'_>, ty: Option<DataType>) {
-    let Some(ty) = ty else {
-        match tok {
-            FlatVal::Null => b.push_null(),
-            FlatVal::Bool(x) => b.push_bool(x),
-            FlatVal::Int(i) => b.push_i64(i),
-            FlatVal::Float(f) => b.push_f64(f),
-            FlatVal::Str(s) => b.push_str(s.to_string()),
-        }
-        return;
-    };
-    match (tok, ty) {
-        (FlatVal::Null, _) => b.push_null(),
-        (FlatVal::Int(i), DataType::Int) => b.push_i64(i),
-        (FlatVal::Int(i), DataType::Float) => b.push_f64(i as f64),
-        (FlatVal::Float(f), DataType::Float) => b.push_f64(f),
-        (FlatVal::Str(s), DataType::Int) => match s.trim().parse::<i64>() {
-            Ok(i) => b.push_i64(i),
-            Err(_) => b.push_null(),
-        },
-        (FlatVal::Str(s), DataType::Float) => match s.trim().parse::<f64>() {
-            Ok(f) => b.push_f64(f),
-            Err(_) => b.push_null(),
-        },
-        (FlatVal::Str(s), DataType::Str) => b.push_str(s.to_string()),
-        (tok, ty) => b.push_value(cast(tok.to_value(), ty)),
-    }
-}
-
-/// Parses a chunk of log lines straight into one column builder per fused
-/// field. Malformed lines are skipped and counted, exactly like the row
-/// scan. The zero-copy flat parser handles the (overwhelmingly common)
-/// flat-object lines; anything it declines falls back to the strict
-/// parser so nested or escaped lines behave identically to the row path.
-/// Duplicate keys resolve to the last occurrence, matching
-/// `Value::object`'s dedup.
-pub(crate) fn parse_lines_fused(lines: &[String], fields: &[FusedField<'_>]) -> (ColBatch, usize) {
-    let mut builders: Vec<ColBuilder> = (0..fields.len()).map(|_| ColBuilder::new()).collect();
-    for b in &mut builders {
-        b.reserve(lines.len());
-    }
-    let mut skipped = 0usize;
-    let mut parsed = 0usize;
-    for line in lines {
-        if let Some(flat) = parse_flat_line(line) {
-            for (f, b) in fields.iter().zip(&mut builders) {
-                // Last occurrence wins, as in Value::object's dedup.
-                let tok = flat
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| *k == f.key)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(FlatVal::Null);
-                push_cast(b, tok, f.ty);
-            }
-            parsed += 1;
-        } else {
-            match parse_json(line) {
-                Ok(v) => {
-                    for (f, b) in fields.iter().zip(&mut builders) {
-                        let field = v.get_field(f.key).cloned().unwrap_or(Value::Null);
-                        match f.ty {
-                            Some(ty) => b.push_value(cast(field, ty)),
-                            None => b.push_value(field),
-                        }
-                    }
-                    parsed += 1;
-                }
-                Err(_) => skipped += 1,
-            }
-        }
-    }
-    (
-        ColBatch::from_columns(
-            builders.into_iter().map(ColBuilder::finish).collect(),
-            parsed,
-        ),
-        skipped,
-    )
 }
 
 #[cfg(test)]
@@ -617,46 +533,5 @@ mod tests {
             args: vec![E::col(0).get("text")],
         }])
         .is_none());
-    }
-
-    /// The fused parser agrees with parse-then-project row execution on
-    /// well-formed, malformed, nested, duplicate-key and missing-field
-    /// lines.
-    #[test]
-    fn fused_parse_matches_row_path() {
-        let lines: Vec<String> = vec![
-            r#"{"uid": 7, "text": "hi", "score": 1.5}"#.into(),
-            r#"{"uid": "12", "text": "pad"}"#.into(),
-            r#"{"text": "no uid"}"#.into(),
-            "not json".into(),
-            r#"{"uid": 1, "uid": 2, "text": "dup"}"#.into(),
-            r#"{"uid": 3, "nest": {"a": 1}, "text": "nested"}"#.into(),
-            r#"{"uid": null, "text": "explicit null"}"#.into(),
-        ]
-        .into_iter()
-        .collect();
-        let fields = vec![
-            FusedField {
-                key: "uid",
-                ty: Some(DataType::Int),
-            },
-            FusedField {
-                key: "text",
-                ty: None,
-            },
-        ];
-        let (batch, skipped) = parse_lines_fused(&lines, &fields);
-        assert_eq!(skipped, 1);
-        assert_eq!(batch.len(), 6);
-        // Row-path oracle: parse, project field, cast.
-        let mut want: Vec<Row> = Vec::new();
-        for line in &lines {
-            if let Ok(v) = parse_json(line) {
-                let uid = v.get_field("uid").cloned().unwrap_or(Value::Null);
-                let text = v.get_field("text").cloned().unwrap_or(Value::Null);
-                want.push(Row::new(vec![cast(uid, DataType::Int), text]));
-            }
-        }
-        assert_eq!(batch.to_rows(), want);
     }
 }

@@ -12,9 +12,16 @@
 use miso_common::{MisoError, Result};
 use miso_data::{DataType, Row, Value};
 use miso_plan::{BinOp, Expr, UnaryOp};
+use std::borrow::Cow;
 
-/// Evaluates `expr` against `row`.
-pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
+/// What a missing JSON field reads as, borrowable for any row lifetime.
+static NULL: Value = Value::Null;
+
+/// Evaluates `expr` by reference where it reads stored data: a
+/// `Column`/`FieldGet` chain borrows from `row`, so `$0->'key'` copies one
+/// field instead of the whole JSON object it sits in. Anything else is
+/// evaluated by value.
+fn eval_cow<'r>(expr: &Expr, row: &'r Row) -> Result<Cow<'r, Value>> {
     match expr {
         Expr::Column(i) => {
             if *i >= row.arity() {
@@ -23,13 +30,21 @@ pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
                     row.arity()
                 )));
             }
-            Ok(row.get(*i).clone())
+            Ok(Cow::Borrowed(row.get(*i)))
         }
+        Expr::FieldGet { input, key } => Ok(match eval_cow(input, row)? {
+            Cow::Borrowed(v) => Cow::Borrowed(v.get_field(key).unwrap_or(&NULL)),
+            Cow::Owned(v) => Cow::Owned(v.get_field(key).cloned().unwrap_or(Value::Null)),
+        }),
+        other => eval(other, row).map(Cow::Owned),
+    }
+}
+
+/// Evaluates `expr` against `row`.
+pub fn eval(expr: &Expr, row: &Row) -> Result<Value> {
+    match expr {
+        Expr::Column(_) | Expr::FieldGet { .. } => eval_cow(expr, row).map(Cow::into_owned),
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::FieldGet { input, key } => {
-            let v = eval(input, row)?;
-            Ok(v.get_field(key).cloned().unwrap_or(Value::Null))
-        }
         Expr::Cast { input, ty } => Ok(cast(eval(input, row)?, *ty)),
         Expr::Unary { op, input } => Ok(eval_unary(*op, eval(input, row)?)),
         Expr::Binary { op, left, right } => {

@@ -12,7 +12,9 @@
 //!   that pin plan subtrees to HV);
 //! * [`col`] — columnar (vectorized) execution support: the `MISO_COL`
 //!   toggle, the morsel-at-a-time expression evaluator over
-//!   [`miso_data::ColBatch`], and the fused scan+project line parser;
+//!   [`miso_data::ColBatch`], and the SerDe-projection recognizer;
+//! * [`image`] — the parsed-column image of a base log, which scans fused
+//!   into a SerDe projection read instead of re-parsing JSON text;
 //! * [`engine`] — the morsel-parallel operator interpreter (miso-vex):
 //!   executes a plan DAG over a [`engine::DataSource`], materializing every
 //!   node's output (the materialization behaviour that yields opportunistic
@@ -23,6 +25,7 @@
 pub mod col;
 pub mod engine;
 pub mod eval;
+pub mod image;
 pub mod ivm;
 pub mod profile;
 pub mod serial;
@@ -31,6 +34,7 @@ pub mod udf;
 pub use engine::{
     execute_subset_guarded, DataSource, ExecOptions, Execution, MemSource, MORSEL_SIZE,
 };
+pub use image::LogImage;
 pub use ivm::{apply_projection, AggApplied, AggState, FoldOutcome};
 pub use profile::OpProfile;
 pub use serial::execute_serial;

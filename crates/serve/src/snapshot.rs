@@ -9,9 +9,11 @@
 //! never a mix: the catalog, HV residency, and DW residency travel as one
 //! atomic unit.
 //!
-//! Row payloads inside the stores are `Arc<Vec<Row>>`, so cloning a store
-//! into a snapshot shares data rather than copying it; the clone cost is
-//! proportional to the number of logs/views, not the number of rows.
+//! View rows, base-log text and parsed log images inside the stores are all
+//! `Arc`-shared, so cloning a store into a snapshot shares data rather than
+//! copying it; the clone cost is proportional to the number of logs/views,
+//! not the number of rows. Every epoch cut from the same logs reads one
+//! parsed image per log.
 
 use std::sync::{Arc, RwLock};
 

@@ -326,6 +326,12 @@ mod tests {
             .collect()
     }
 
+    /// Serializes the tests that flip the process-wide profiling flag.
+    fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn build() -> (PlannedQuery, HashMap<NodeId, SizeEstimate>, MemSource) {
         let plan = compile(
             "SELECT t.city AS c, COUNT(*) AS n FROM twitter t \
@@ -355,6 +361,7 @@ mod tests {
     #[test]
     fn explain_analyze_renders_pred_and_act_per_node() {
         let (planned, est, source) = build();
+        let _lock = profile_lock();
         let was = miso_exec::profile::enabled();
         miso_exec::profile::set_enabled(true);
         let exec = execute(&planned.plan, &source, &UdfRegistry::new()).unwrap();
@@ -397,6 +404,7 @@ mod tests {
     #[test]
     fn explain_analyze_without_profiles_still_shows_rows() {
         let (planned, est, source) = build();
+        let _lock = profile_lock();
         let was = miso_exec::profile::enabled();
         miso_exec::profile::set_enabled(false);
         let exec = execute(&planned.plan, &source, &UdfRegistry::new()).unwrap();

@@ -7,13 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (every workspace crate: default-members)"
 cargo test -q
 
 echo "==> chaos smoke (seeded fault injection)"

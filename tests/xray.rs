@@ -290,6 +290,9 @@ fn profiled_rows_match_rows_out_for_every_operator() {
     }
 }
 
+/// [`miso::exec::OpProfile::deterministic`]'s fields.
+type DeterministicFields = (u64, u64, u64, u64, u64);
+
 /// All profile fields except wall time are a pure function of the plan and
 /// data: byte-identical at 1, 2 and 8 workers.
 #[test]
@@ -303,7 +306,7 @@ fn profiles_are_thread_count_invariant() {
         ("log pipeline", &lplan, 0usize),
         ("join pipeline", &jplan, 1),
     ] {
-        let mut baseline: Option<BTreeMap<u64, (u64, u64, u64, u64, u64)>> = None;
+        let mut baseline: Option<BTreeMap<u64, DeterministicFields>> = None;
         for t in [1usize, 2, 8] {
             pool::set_threads(t);
             let exec = if run == 0 {

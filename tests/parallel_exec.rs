@@ -15,9 +15,11 @@ use miso::exec::{execute_serial, Execution, MemSource, Udf, UdfRegistry};
 use miso::plan::{AggExpr, AggFunc, BinOp, Expr, LogicalPlan, Operator, PlanBuilder};
 use std::sync::Arc;
 
-/// Asserts two executions retained the same nodes with identical rows and
-/// identical skip accounting.
-fn assert_executions_eq(a: &Execution, b: &Execution, what: &str) {
+/// Asserts a vex execution `b` ran the same nodes as the serial oracle `a`
+/// with identical row counts and skip accounting, and identical rows for
+/// every node `b` retains. Only a log scan fused into its SerDe projection
+/// keeps no rows; its projection's rows are compared instead.
+fn assert_executions_eq(plan: &LogicalPlan, a: &Execution, b: &Execution, what: &str) {
     assert_eq!(a.skipped_lines, b.skipped_lines, "{what}: skipped_lines");
     let mut ids_a: Vec<_> = a.executed_nodes().collect();
     ids_a.sort_unstable();
@@ -25,8 +27,14 @@ fn assert_executions_eq(a: &Execution, b: &Execution, what: &str) {
     ids_b.sort_unstable();
     assert_eq!(ids_a, ids_b, "{what}: executed node sets");
     for id in ids_a {
-        assert_eq!(a.try_output(id), b.try_output(id), "{what}: node {id}");
         assert_eq!(a.rows_out(id), b.rows_out(id), "{what}: rows_out {id}");
+        match b.try_output(id) {
+            Some(rows) => assert_eq!(a.try_output(id), Some(rows), "{what}: node {id}"),
+            None => assert!(
+                matches!(plan.node(id).op, Operator::ScanLog { .. }),
+                "{what}: node {id} kept no rows"
+            ),
+        }
     }
 }
 
@@ -39,13 +47,86 @@ fn assert_thread_invariant(plan: &LogicalPlan, src: &MemSource, udfs: &UdfRegist
     for t in [1usize, 2, 8] {
         pool::set_threads(t);
         let vex = execute(plan, src, udfs).expect("vex run succeeds");
-        assert_executions_eq(&serial, &vex, &format!("{what} @ {t} threads"));
+        assert_executions_eq(plan, &serial, &vex, &format!("{what} @ {t} threads"));
     }
     pool::set_threads(before);
 }
 
 fn int_field(name: &str) -> Field {
     Field::new(name, DataType::Int)
+}
+
+/// ScanLog → SerDe Project → Filter → Aggregate over malformed,
+/// duplicate-key, nested, missing-field and explicit-null lines: the scan
+/// is fused into its projection, which reads the parsed log image.
+#[test]
+fn serde_pipeline_is_thread_invariant() {
+    let lines: Vec<String> = (0..3 * 4096 + 50u64)
+        .map(|i| match i % 6 {
+            0 => format!("not json #{i}"),
+            1 => format!(r#"{{"uid": {i}, "uid": {}, "city": "dup"}}"#, i % 40),
+            2 => format!(
+                r#"{{"uid": {}, "tags": [{i}, {{"a": 1}}], "city": "n"}}"#,
+                i % 40
+            ),
+            3 => r#"{"city": "no uid"}"#.to_string(),
+            4 => r#"{"uid": null, "city": null}"#.to_string(),
+            _ => format!(r#"{{"uid": "{}", "city": "c{}"}}"#, i % 40, i % 7),
+        })
+        .collect();
+    let mut src = MemSource::new();
+    src.add_log("events", lines);
+    let mut b = PlanBuilder::new();
+    let scan = b
+        .add(
+            Operator::ScanLog {
+                log: "events".into(),
+            },
+            vec![],
+        )
+        .unwrap();
+    let proj = b
+        .add(
+            Operator::Project {
+                exprs: vec![
+                    ("uid".into(), Expr::col(0).get("uid").cast(DataType::Int)),
+                    ("city".into(), Expr::col(0).get("city")),
+                    ("tags".into(), Expr::col(0).get("tags")),
+                ],
+            },
+            vec![scan],
+        )
+        .unwrap();
+    let filt = b
+        .add(
+            Operator::Filter {
+                predicate: Expr::Binary {
+                    op: BinOp::Lt,
+                    left: Box::new(Expr::col(0)),
+                    right: Box::new(Expr::lit(30i64)),
+                },
+            },
+            vec![proj],
+        )
+        .unwrap();
+    let agg = b
+        .add(
+            Operator::Aggregate {
+                group_by: vec![1],
+                aggs: vec![
+                    AggExpr::new(AggFunc::Count, None, "n"),
+                    AggExpr::new(AggFunc::Max, Some(Expr::col(0)), "hi"),
+                ],
+            },
+            vec![filt],
+        )
+        .unwrap();
+    let plan = b.finish(agg).unwrap();
+    let udfs = UdfRegistry::new();
+    assert_thread_invariant(&plan, &src, &udfs, "serde pipeline");
+    let vex = execute(&plan, &src, &udfs).unwrap();
+    assert!(vex.try_output(scan).is_none(), "scan fused");
+    assert_eq!(vex.skipped_lines, (3 * 4096 + 50u64).div_ceil(6));
 }
 
 /// ScanLog (with malformed lines) → UDF (filters + reshapes) → Filter →
@@ -412,7 +493,7 @@ mod random_plans {
             pool::set_threads(threads);
             let vex = execute(&plan, &src, &udfs).unwrap();
             pool::set_threads(before);
-            assert_executions_eq(&serial, &vex, &format!("random plan @ {threads} threads"));
+            assert_executions_eq(&plan, &serial, &vex, &format!("random plan @ {threads} threads"));
         }
 
         /// Random join inputs (with NULLs mixed in) match the serial oracle.
@@ -468,7 +549,7 @@ mod random_plans {
             pool::set_threads(threads);
             let vex = execute(&plan, &src, &udfs).unwrap();
             pool::set_threads(before);
-            assert_executions_eq(&serial, &vex, &format!("random join @ {threads} threads"));
+            assert_executions_eq(&plan, &serial, &vex, &format!("random join @ {threads} threads"));
         }
     }
 }
